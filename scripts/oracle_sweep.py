@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Brute-force quotient sweep: dimensions, characters, symbolic comparison.
 
-Usage: python scripts/oracle_sweep.py [--max-n 4] [--dims-only]
+Usage: python scripts/oracle_sweep.py [--max-n 5] [--dims-only]
 """
 
 import argparse
@@ -13,7 +13,7 @@ from symq.partition import partitions
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-n", type=int, default=4)
+    ap.add_argument("--max-n", type=int, default=5)
     ap.add_argument("--dims-only", action="store_true",
                     help="skip the character comparison")
     args = ap.parse_args()

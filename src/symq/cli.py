@@ -38,6 +38,7 @@ __all__ = ["main", "parse", "eval_expr", "format_symfunc", "ExprSyntaxError"]
 
 CACHE_FORMAT_VERSION = 1
 DEFAULT_SYMBOLIC_BOUND = 7
+# the oracle takes about 0.5 s on (1^5) but still about 100 s on (1^6)
 DEFAULT_ORACLE_BOUND = 5
 
 
@@ -507,13 +508,13 @@ def cmd_skew(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "all":
-        reports = verify.run_all(args.max_n, jobs=args.jobs)
-    else:
-        try:
+    try:
+        if args.suite == "all":
+            reports = verify.run_all(args.max_n, jobs=args.jobs)
+        else:
             reports = [verify.run_suite(args.suite, args.max_n)]
-        except ValueError as exc:
-            return _usage_error(str(exc))
+    except ValueError as exc:
+        return _usage_error(str(exc))
     if args.output == "json":
         print(json.dumps([r.to_json() for r in reports]))
     else:

@@ -2,9 +2,10 @@
 
 Everything here is independent of the symmetric-function machinery: the
 Tanisaki ideal is spanned degree by degree inside explicit monomial spaces,
-ranks come from fraction-free integer row reduction, and characters are traces
-of permutation actions.  The `hl` module is touched only by the final
-comparison helper `oracle_vs_symbolic`.
+each degree lifted from the one below (I_d = sum_i x_i * I_{d-1} plus the
+generators of degree d, Macaulay-style), ranks come from fraction-free integer
+row reduction, and characters are traces of permutation actions.  The `hl`
+module is touched only by the final comparison helper `oracle_vs_symbolic`.
 
 Convention note.  The bound printed as "r >= t >= r - d_r(lambda)" with head
 partial sums d_r = lambda'_1 + ... + lambda'_r cannot be right: it makes
@@ -191,32 +192,34 @@ class _Rref:
         self.pivot_cols.append(col)
         return True
 
-    def express_diagonal(self, vec: dict[int, int], row_index: int) -> Fraction:
-        """Coefficient of basis row `row_index` when vec is written in the basis.
-
-        Valid because every row vanishes at the other rows' pivot columns, so
-        the expansion coefficient is read off at the pivot.
-        """
-        col = self.pivot_cols[row_index]
-        return Fraction(vec.get(col, 0), self.rows[row_index][col])
-
 
 @functools.lru_cache(maxsize=None)
 def _ideal_rref(lam: Partition, d: int) -> _Rref:
-    """Echelon basis of the degree-d piece of the Tanisaki ideal."""
+    """Reduced echelon basis of I_d, the degree-d piece of the Tanisaki ideal.
+
+    The generators are homogeneous, so I_d = sum_i x_i * I_{d-1} plus the span
+    of the generators of degree exactly d.  The basis is lifted from the
+    cached one of degree d - 1: each of its rows shifted by each variable is
+    offered, then each degree-d generator.  Lifted rows are about as sparse
+    as the final basis, so reducing them creates little fill-in.
+    """
     n = lam.size
     space = monomial_space(n, d)
-    rref = _Rref()
+    offered: list[dict[int, int]] = []
+    if d > 0:
+        shifted = [
+            [space.index[m[:i] + (m[i] + 1,) + m[i + 1:]] for i in range(n)]
+            for m in monomial_space(n, d - 1).monomials
+        ]
+        for row in _ideal_rref(lam, d - 1).rows:
+            for i in range(n):
+                offered.append({shifted[c][i]: v for c, v in row.items()})
     for subset, t in tanisaki_generators(lam):
-        if t > d:
-            continue
-        gen_monoms = _generator_monomials(subset, t, n)
-        for shift in monomial_space(n, d - t).monomials:
-            vec: dict[int, int] = {}
-            for gm in gen_monoms:
-                total = tuple(a + b for a, b in zip(gm, shift))
-                vec[space.index[total]] = vec.get(space.index[total], 0) + 1
-            rref.insert(vec)
+        if t == d:
+            offered.append({space.index[m]: 1 for m in _generator_monomials(subset, t, n)})
+    rref = _Rref()
+    for vec in offered:
+        rref.insert(vec)
     return rref
 
 

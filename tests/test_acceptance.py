@@ -47,10 +47,9 @@ def test_criterion_3_oracle_equivalence():
             f"{r.checks_run} checks in {r.elapsed:.1f}s")
 
 
-@pytest.mark.slow
 def test_criterion_3_oracle_equivalence_n5():
     cmp = oracle_vs_symbolic(5)
-    _report(3, "oracle equivalence (n = 5, optional)", cmp.ok,
+    _report(3, "oracle equivalence (n = 5)", cmp.ok,
             f"{cmp.checked} entries")
 
 

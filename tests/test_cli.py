@@ -305,6 +305,15 @@ def test_verify_command(capsys):
     assert out.startswith("orthogonality: PASS")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_all_negative_max_n_is_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--max-n", "-1", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "max_n must be nonnegative" in err
+    assert "Traceback" not in err
+
+
 def test_verify_all_json(capsys):
     code, out, err = run(capsys, "verify", "--max-n", "1", "--output", "json")
     assert code == 0

@@ -1,11 +1,14 @@
 """Brute-force graded quotients: generators, dimensions, characters."""
 
 from fractions import Fraction
-from math import comb, factorial
+from itertools import combinations
+from math import comb, factorial, gcd
 
 import pytest
 
 from symq.gporacle import (
+    _ideal_rref,
+    _Rref,
     graded_character,
     graded_dimension,
     graded_quotient,
@@ -131,6 +134,56 @@ def test_oracle_report_checks():
         assert QPoly.from_json(report["gdim"]) == graded_dimension(pt(*parts))
 
 
+def _direct_span(lam, d):
+    """RREF of every generator e_t(x_I) times every monomial of degree d - t."""
+    n = lam.size
+    space = monomial_space(n, d)
+    rref = _Rref()
+    for subset, t in tanisaki_generators(lam):
+        if t > d:
+            continue
+        for shift in monomial_space(n, d - t).monomials:
+            vec = {}
+            for chosen in combinations(subset, t):
+                mono = list(shift)
+                for i in chosen:
+                    mono[i] += 1
+                col = space.index[tuple(mono)]
+                vec[col] = vec.get(col, 0) + 1
+            rref.insert(vec)
+    return rref
+
+
+def _row_set(rref):
+    return {frozenset(row.items()) for row in rref.rows}
+
+
+def test_lifted_ideal_equals_direct_span():
+    # I_d lifted from x_i * I_{d-1} must be the span of all generator
+    # multiples; the reduced basis is unique, so the row sets must agree
+    for n in range(0, 5):
+        for lam in partitions(n):
+            for d in range(lam.n_stat() + 2):
+                assert _row_set(_ideal_rref(lam, d)) == _row_set(_direct_span(lam, d)), (lam, d)
+
+
+def test_ideal_rows_are_reduced_at_pivots():
+    # _trace_on_ideal reads each row's coefficient at its own pivot, which is
+    # only valid if every row is zero at every other row's pivot
+    for lam in partitions(5):
+        for d in range(lam.n_stat() + 2):
+            rref = _ideal_rref(lam, d)
+            pivots = set(rref.pivot_cols)
+            assert len(pivots) == rref.rank
+            for row, col in zip(rref.rows, rref.pivot_cols):
+                assert col == min(row) and row[col] > 0, (lam, d)
+                g = 0
+                for v in row.values():
+                    g = gcd(g, v)
+                assert g == 1, (lam, d)
+                assert pivots & set(row) == {col}, (lam, d)
+
+
 def test_oracle_matches_symbolic_route():
     for n in range(0, 5):
         cmp = oracle_vs_symbolic(n)
@@ -138,7 +191,14 @@ def test_oracle_matches_symbolic_route():
         assert cmp.checked == sum(1 for lam in partitions(n) for _ in partitions(n))
 
 
-@pytest.mark.slow
 def test_oracle_matches_symbolic_route_n5():
     cmp = oracle_vs_symbolic(5)
     assert cmp.ok, cmp.mismatches
+    assert cmp.checked == 49
+
+
+@pytest.mark.slow
+def test_oracle_matches_symbolic_route_n6():
+    cmp = oracle_vs_symbolic(6)
+    assert cmp.ok, cmp.mismatches
+    assert cmp.checked == 121
