@@ -14,6 +14,9 @@ expansion the tool prints is itself valid input (print/parse round-trip).
 Coefficients that are not Laurent polynomials fall back to an aligned table
 with "num / den" cells, which is display-only.
 
+Parentheses nest at most MAX_NESTING deep; deeper input is a syntax error.
+Long operator chains are walked iteratively, so their length costs no stack.
+
 Exit codes: 0 success, 1 identity/verification failure, 2 usage error.
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -40,6 +44,7 @@ CACHE_FORMAT_VERSION = 1
 DEFAULT_SYMBOLIC_BOUND = 7
 # the oracle takes about 0.5 s on (1^5) but still about 100 s on (1^6)
 DEFAULT_ORACLE_BOUND = 5
+MAX_NESTING = 100
 
 
 class ExprSyntaxError(ValueError):
@@ -124,6 +129,7 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -196,8 +202,12 @@ class _Parser:
                     raise ExprSyntaxError("parts must be nonincreasing", parts[i + 1][1])
             return BasisElem(tok.text, Partition(tuple(values)))
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
             self.advance()
+            self.depth += 1
             node = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
             return node
         raise ExprSyntaxError(f"expected a value, found {tok.text or 'end of input'!r}", tok.pos)
@@ -219,6 +229,16 @@ def parse(text: str) -> Expr:
     return node
 
 
+def _left_chain(node: BinOp) -> tuple[Expr, list[tuple[str, Expr]]]:
+    """a op1 b op2 c ..., parsed left-nested, as (a, [(op1, b), (op2, c), ...])."""
+    rest = []
+    while isinstance(node, BinOp):
+        rest.append((node.op, node.right))
+        node = node.left
+    rest.reverse()
+    return node, rest
+
+
 def static_degree(node: Expr) -> int:
     """Largest homogeneous degree the expression can produce."""
     if isinstance(node, (Num, QPow)):
@@ -227,9 +247,15 @@ def static_degree(node: Expr) -> int:
         return node.partition.size
     if isinstance(node, Neg):
         return static_degree(node.operand)
-    if node.op == "*":
-        return static_degree(node.left) + static_degree(node.right)
-    return max(static_degree(node.left), static_degree(node.right))
+    first, rest = _left_chain(node)
+    deg = static_degree(first)
+    for op, right in rest:
+        d = static_degree(right)
+        deg = deg + d if op == "*" else max(deg, d)
+    return deg
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def eval_expr(node: Expr) -> SymFunc:
@@ -245,12 +271,11 @@ def eval_expr(node: Expr) -> SymFunc:
         return to_p(elem)
     if isinstance(node, Neg):
         return -eval_expr(node.operand)
-    left, right = eval_expr(node.left), eval_expr(node.right)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    return left * right
+    first, rest = _left_chain(node)
+    acc = eval_expr(first)
+    for op, right in rest:
+        acc = _BINARY[op](acc, eval_expr(right))
+    return acc
 
 
 # -- printing ---------------------------------------------------------------------
@@ -343,17 +368,24 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
         raise
 
 
-def _load_cached_kostka(path: Path):
-    if not path.exists():
-        return None
+def _load_cached_kostka(path: Path, n: int):
+    """The cached degree-n table, or None when the file is missing or not one.
+
+    Unreadable JSON, a payload of the wrong shape, and a table for another
+    degree are all cache misses, so the caller recomputes and overwrites.
+    """
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+        if (payload["format_version"] != CACHE_FORMAT_VERSION or payload["kind"] != "kostka"
+                or payload["n"] != n or payload["table"]["n"] != n):
+            return None
+        table = hl.KostkaTable.from_json(payload["table"])
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError, RecursionError):
         return None
-    if payload.get("format_version") != CACHE_FORMAT_VERSION or payload.get("kind") != "kostka":
+    if any(lam.size != n or mu.size != n for lam, mu in table.entries):
         return None
-    return hl.KostkaTable.from_json(payload["table"])
+    return table
 
 
 def _store_kostka(path: Path, table) -> None:
@@ -438,7 +470,7 @@ def cmd_kostka(args) -> int:
     _check_degree(args.n, args, DEFAULT_SYMBOLIC_BOUND)
     compute = hl.kostka_orthogonality if args.method == "orthogonality" else hl.kostka_triangular
     path = _cache_dir(args) / f"kostka_n{args.n}.json"
-    cached = None if args.no_cache else _load_cached_kostka(path)
+    cached = None if args.no_cache else _load_cached_kostka(path, args.n)
     if args.cache_verify:
         fresh = compute(args.n)
         if cached is None:
@@ -510,7 +542,7 @@ def cmd_skew(args) -> int:
 def cmd_verify(args) -> int:
     try:
         if args.suite == "all":
-            reports = verify.run_all(args.max_n, jobs=args.jobs)
+            reports = verify.run_all(args.max_n)
         else:
             reports = [verify.run_suite(args.suite, args.max_n)]
     except ValueError as exc:
@@ -573,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run verification suites")
     p.add_argument("--suite", default="all", choices=verify.SUITE_NAMES + ("all",))
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -15,12 +15,17 @@ with repeated exponents antisymmetrize to zero.  The result is exact and lands
 directly in the Schur basis.
 
 Q_lambda = b_lambda(q) P_lambda, and the big Schur S_lambda is the plethysm
-s_lambda[(1-q)X].  The graded Kostka table T with Q_lambda = sum_mu T(lambda,
-mu) S_mu is computed twice: by solving the linear system in Schur coordinates
-(`kostka_triangular`) and by Lusztig-Shoji orthogonalization of the big-Schur
-Gram matrix against the targets <Q_lambda, Q_mu> = delta b_lambda
-(`kostka_orthogonality`).  Route agreement is an acceptance check, not an
-assumption.
+s_lambda[(1-q)X].  S_mu is Hall-dual to s_mu, so the S-coordinates of any f
+are the Schur coordinates of f[X/(1-q)]: on power sums, p_rho is divided by
+prod_i (1 - q^{rho_i}).
+
+The graded Kostka table T with Q_lambda = sum_mu T(lambda, mu) S_mu is
+computed twice.  Route one (`kostka_triangular`) reads T off the modified
+Hall-Littlewood function Q'_lambda = Q_lambda[X/(1-q)] = sum_mu K_{mu
+lambda}(q) s_mu and never builds a big Schur function.  Route two
+(`kostka_orthogonality`) is the Lusztig-Shoji orthogonalization of the
+big-Schur Gram matrix against the targets <Q_lambda, Q_mu> = delta b_lambda.
+Route agreement is an acceptance check, not an assumption.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from ._linalg import invert_matrix
 from .partition import Partition, dominance_leq, partitions
 from .qcoeff import QPoly, QRat, q_factorial
 from .sncharacter import GradedCharacter
@@ -42,6 +46,7 @@ from .symfunc import (
     to_p,
     unit,
     _hall_weight,
+    _one_minus_q_factor,
 )
 
 __all__ = [
@@ -159,41 +164,11 @@ def big_schur(lam: Partition) -> SymFunc:
 # -- expansions in the HL bases ------------------------------------------------
 
 
-def _s_coords(f: SymFunc, n: int) -> list[QRat]:
-    labels = partitions(n)
-    fs = f if f.basis == "s" else convert(f, "s")
-    return [fs.terms.get(lam, QRat.zero()) for lam in labels]
-
-
-@functools.lru_cache(maxsize=None)
-def _big_schur_solver(n: int) -> list[list[QRat]]:
-    """Inverse of the transposed (big Schur -> Schur) coefficient matrix."""
-    labels = partitions(n)
-    matT = [
-        [big_schur(labels[j]).coeff(labels[i]) for j in range(len(labels))]
-        for i in range(len(labels))
-    ]
-    try:
-        return invert_matrix(matT, QRat.one())
-    except ValueError as exc:
-        raise InternalInconsistencyError(f"big Schur basis degenerate at degree {n}") from exc
-
-
 def expand_in_big_schur(f: SymFunc) -> dict[Partition, QRat]:
-    """Coefficients c with f = sum c_mu S_mu, by exact linear solve per degree."""
-    out: dict[Partition, QRat] = {}
-    for n in f.degrees():
-        labels = partitions(n)
-        solver = _big_schur_solver(n)
-        vec = _s_coords(f.homogeneous_part(n), n)
-        for i, row in enumerate(solver):
-            acc = QRat.zero()
-            for a, v in zip(row, vec):
-                if not a.is_zero() and not v.is_zero():
-                    acc = acc + a * v
-            if not acc.is_zero():
-                out[labels[i]] = acc
-    return out
+    """Coefficients c with f = sum c_mu S_mu: the Schur coordinates of f[X/(1-q)]."""
+    fp = to_p(f)
+    inverse = {rho: c / _one_minus_q_factor(rho) for rho, c in fp.terms.items()}
+    return convert(SymFunc("p", inverse), "s").terms
 
 
 def expand_in_hl_p(f: SymFunc) -> dict[Partition, QRat]:
@@ -322,7 +297,12 @@ def _entry_poly(lam: Partition, mu: Partition, c: QRat) -> QPoly:
 
 @functools.lru_cache(maxsize=None)
 def kostka_triangular(n: int) -> KostkaTable:
-    """Route one: expand each Q_lambda in big Schur functions by linear solve."""
+    """Route one: the modified Hall-Littlewood expansion.
+
+    Q'_lambda = Q_lambda[X/(1-q)] = sum_mu K_{mu lambda}(q) s_mu, so row lambda
+    is the Schur expansion of hl_q(lambda) after the inverse plethysm of
+    `expand_in_big_schur`; no big Schur function is built.
+    """
     labels = partitions(n)
     entries: dict[tuple[Partition, Partition], QPoly] = {}
     for lam in labels:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 from .qcoeff import QPoly
 
@@ -98,10 +98,6 @@ class Partition:
 
     def class_size(self) -> int:
         return factorial(self.size) // self.z_stat()
-
-    def hook_product_check(self) -> int:
-        """n(lambda) recomputed from the conjugate, as a cross-check."""
-        return sum(comb(c, 2) for c in self.conjugate().parts)
 
     # -- box moves -----------------------------------------------------------
 

@@ -30,10 +30,7 @@ __all__ = [
     "QRat",
     "QDivisionError",
     "PoleAtZeroError",
-    "arith",
     "q_int",
-    "bar",
-    "series_prefix",
     "is_nonneg_poly",
 ]
 
@@ -528,19 +525,6 @@ class QRat:
 # -- module-level operations ------------------------------------------------
 
 
-def arith(a: QRat, b: QRat, op: str) -> QRat:
-    """Field operation dispatch; op is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def q_int(n: int) -> QPoly:
     """The q-integer [n]_q = 1 + q + ... + q^(n-1); [0]_q = 0.
 
@@ -558,14 +542,6 @@ def q_factorial(n: int) -> QPoly:
     for i in range(2, n + 1):
         out = out * q_int(i)
     return out
-
-
-def bar(a: "QRat | QPoly") -> "QRat | QPoly":
-    return a.bar()
-
-
-def series_prefix(a: QRat, k: int) -> QPoly:
-    return a.series_prefix(k)
 
 
 def is_nonneg_poly(a: QRat) -> bool:

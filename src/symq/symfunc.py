@@ -23,7 +23,7 @@ from fractions import Fraction
 from ._linalg import invert_matrix
 from .partition import Partition, partitions
 from .qcoeff import QPoly, QRat
-from .sncharacter import GradedCharacter, char_table
+from .sncharacter import char_table
 
 __all__ = [
     "SymFunc",
@@ -37,7 +37,6 @@ __all__ = [
     "antipode",
     "hall_inner",
     "plethysm_one_minus_q",
-    "inner_graded",
     "tensor_product",
 ]
 
@@ -513,12 +512,18 @@ def antipode(f: SymFunc) -> SymFunc:
 
 
 @functools.lru_cache(maxsize=None)
+def _one_minus_q_factor(lam: Partition) -> QPoly:
+    """prod_i (1 - q^{lam_i}): the factor p_lam picks up under X -> (1-q)X."""
+    factor = QPoly.one()
+    for part in lam.parts:
+        factor = factor * (QPoly.one() - QPoly.monomial(part))
+    return factor
+
+
+@functools.lru_cache(maxsize=None)
 def _hall_weight(lam: Partition) -> QRat:
     """<p_lam, p_lam> = z_lam / prod_i (1 - q^{lam_i})."""
-    den = QPoly.one()
-    for part in lam.parts:
-        den = den * (QPoly.one() - QPoly.monomial(part))
-    return QRat(QPoly.const(lam.z_stat()), den)
+    return QRat(QPoly.const(lam.z_stat()), _one_minus_q_factor(lam))
 
 
 def hall_inner(f: SymFunc, g: SymFunc) -> QRat:
@@ -534,17 +539,6 @@ def hall_inner(f: SymFunc, g: SymFunc) -> QRat:
 
 def plethysm_one_minus_q(f: SymFunc) -> SymFunc:
     """Plethystic substitution X -> (1-q)X: p_r picks up the factor (1 - q^r)."""
-    fp = to_p(f)
-    terms: dict[Partition, QRat] = {}
-    for lam, c in fp.terms.items():
-        factor = QPoly.one()
-        for part in lam.parts:
-            factor = factor * (QPoly.one() - QPoly.monomial(part))
-        terms[lam] = c * factor
+    terms = {lam: c * _one_minus_q_factor(lam) for lam, c in to_p(f).terms.items()}
     out = SymFunc("p", terms)
     return out if f.basis == "p" else convert(out, f.basis)
-
-
-def inner_graded(gc: GradedCharacter, mu: Partition) -> QRat:
-    """Graded multiplicity of the irreducible labelled mu in gc."""
-    return gc.get(mu)

@@ -449,12 +449,6 @@ def run_suite(name: str, max_n: int) -> SuiteReport:
     )
 
 
-def run_all(max_n: int, jobs: int = 1) -> list[SuiteReport]:
-    """Every suite in fixed order; `jobs` > 1 runs them in a thread pool."""
-    if jobs <= 1:
-        return [run_suite(name, max_n) for name in SUITE_NAMES]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {name: pool.submit(run_suite, name, max_n) for name in SUITE_NAMES}
-        return [futures[name].result() for name in SUITE_NAMES]
+def run_all(max_n: int) -> list[SuiteReport]:
+    """Every suite in fixed order."""
+    return [run_suite(name, max_n) for name in SUITE_NAMES]

@@ -176,6 +176,25 @@ def test_expand_syntax_error_exit_code(capsys):
     assert "offset 4" in err
 
 
+def test_deep_nesting_is_a_syntax_error(capsys):
+    deep = "(" * 3000 + "s[1]" + ")" * 3000
+    code, out, err = run(capsys, "expand", deep, "--to", "s")
+    assert code == 2
+    assert out == ""
+    assert f"offset {cli.MAX_NESTING}" in err
+    assert "Traceback" not in err
+    limit = cli.MAX_NESTING
+    code, out, err = run(capsys, "expand", "(" * limit + "s[1]" + ")" * limit, "--to", "s")
+    assert (code, out) == (0, "s[1]\n")
+
+
+def test_long_operator_chains_evaluate(capsys):
+    code, out, err = run(capsys, "expand", "+".join(["s[1]"] * 3000), "--to", "s")
+    assert (code, out) == (0, "3000*s[1]\n")
+    code, out, err = run(capsys, "expand", "*".join(["1"] * 3000) + "*s[2]", "--to", "s")
+    assert (code, out) == (0, "s[2]\n")
+
+
 def test_expand_degree_bound(capsys):
     code, out, err = run(capsys, "expand", "P[5,3]", "--to", "s")
     assert code == 2
@@ -239,11 +258,45 @@ def test_kostka_cache_verify_detects_corruption(tmp_path, capsys):
 
 
 def test_kostka_ignores_unreadable_cache(tmp_path, capsys):
-    (tmp_path / "kostka_n2.json").write_text("not json at all")
-    code, out, err = run(capsys, "kostka", "--n", "2", "--cache-dir", str(tmp_path))
+    for junk in ("not json at all", "[" * 100000):
+        (tmp_path / "kostka_n2.json").write_text(junk)
+        code, out, err = run(capsys, "kostka", "--n", "2", "--cache-dir", str(tmp_path))
+        assert code == 0
+        # the unreadable file was replaced by a fresh valid one
+        assert json.loads((tmp_path / "kostka_n2.json").read_text())["n"] == 2
+
+
+def test_kostka_cache_for_another_degree_is_a_miss(tmp_path, capsys):
+    run(capsys, "kostka", "--n", "2", "--cache-dir", str(tmp_path))
+    (tmp_path / "kostka_n2.json").rename(tmp_path / "kostka_n3.json")
+    code, out, err = run(capsys, "kostka", "--n", "3", "--cache-dir", str(tmp_path))
     assert code == 0
-    # the unreadable file was replaced by a fresh valid one
-    assert json.loads((tmp_path / "kostka_n2.json").read_text())["n"] == 2
+    assert out == run(capsys, "kostka", "--n", "3", "--no-cache")[1]
+    assert json.loads((tmp_path / "kostka_n3.json").read_text())["n"] == 3
+
+
+def test_kostka_cache_of_the_wrong_shape_is_a_miss(tmp_path, capsys):
+    def no_rows(table):
+        del table["rows"]
+
+    def other_n(table):
+        table["n"] = 2
+
+    def coeff(value):
+        def edit(table):
+            table["rows"][0]["entries"][0]["coeff"]["coeffs"] = [value]
+        return edit
+
+    fresh = run(capsys, "kostka", "--n", "3", "--no-cache")[1]
+    path = tmp_path / "kostka_n3.json"
+    for damage in (no_rows, other_n, coeff("1/0"), coeff(float("inf")), coeff([1])):
+        run(capsys, "kostka", "--n", "3", "--cache-dir", str(tmp_path))
+        payload = json.loads(path.read_text())
+        damage(payload["table"])
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "kostka", "--n", "3", "--cache-dir", str(tmp_path))
+        assert (code, out, err) == (0, fresh, "")
+        assert json.loads(path.read_text())["table"] == cli.hl.kostka_triangular(3).to_json()
 
 
 def test_kostka_no_cache(tmp_path, capsys):
@@ -305,9 +358,9 @@ def test_verify_command(capsys):
     assert out.startswith("orthogonality: PASS")
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_all_negative_max_n_is_usage_error(capsys, jobs):
-    code, out, err = run(capsys, "verify", "--max-n", "-1", "--jobs", jobs)
+@pytest.mark.parametrize("magnitude", ["1", "2"])
+def test_verify_all_negative_max_n_is_usage_error(capsys, magnitude):
+    code, out, err = run(capsys, "verify", "--max-n", f"-{magnitude}")
     assert code == 2
     assert out == ""
     assert "max_n must be nonnegative" in err

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symq import hl
 from symq.hl import (
     KostkaTable,
     big_schur,
@@ -169,6 +170,19 @@ def test_routes_agree():
         assert kostka_triangular(n) == kostka_orthogonality(n)
 
 
+@pytest.mark.slow
+def test_routes_agree_n7():
+    assert kostka_triangular(7) == kostka_orthogonality(7)
+
+
+def test_route_one_builds_no_big_schur():
+    for obj in vars(hl).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    kostka_triangular(4)
+    assert big_schur.cache_info().currsize == 0
+
+
 def test_triangularity_validation():
     for n in range(0, 6):
         assert kostka_triangular(n).validate_triangular() == []
@@ -256,6 +270,22 @@ def test_expand_in_hl_p_unitriangular_identity():
             assert expand_in_hl_p(hl_p(lam)) == {lam: QRat.one()}
             assert expand_in_hl_q(hl_q(lam)) == {lam: QRat.one()}
             assert expand_in_big_schur(big_schur(lam)) == {lam: QRat.one()}
+
+
+def test_expand_in_big_schur_round_trip():
+    want: dict[Partition, QRat] = {}
+    f = SymFunc("s", {})
+    for n in range(0, 6):
+        for i, mu in enumerate(partitions(n)):
+            c = QRat(qp(i + 1, -1, offset=i), qp(1, n))
+            want[mu] = c
+            f = f + big_schur(mu).scale(c)
+        for lam in partitions(n):
+            for g in (unit("s", lam), hl_p(lam), hl_q(lam)):
+                back = hl_to_native(SymFunc("S", expand_in_big_schur(g)), "s")
+                assert back.terms == g.terms
+    assert expand_in_big_schur(f) == want
+    assert expand_in_big_schur(convert(f, "m")) == want
 
 
 def test_to_hl_basis_and_back():

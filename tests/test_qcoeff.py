@@ -10,13 +10,10 @@ from symq.qcoeff import (
     QDivisionError,
     QPoly,
     QRat,
-    arith,
-    bar,
     is_nonneg_poly,
     poly_gcd,
     q_factorial,
     q_int,
-    series_prefix,
 )
 
 
@@ -91,7 +88,7 @@ def test_divmod_exact_and_remainder():
 def test_bar_on_poly():
     p = qp(1, 2, offset=1)  # q + 2q^2
     assert p.bar() == QPoly(-2, (Fraction(2), Fraction(1)))
-    assert bar(p).bar() == p
+    assert p.bar().bar() == p
 
 
 def test_evaluate():
@@ -176,15 +173,15 @@ def test_rat_division_by_zero():
     with pytest.raises(QDivisionError):
         QRat(qp(1), QPoly.zero())
     with pytest.raises(QDivisionError):
-        arith(QRat.one(), QRat.zero(), "div")
+        QRat.one() / QRat.zero()
 
 
 @given(rationals, rationals)
 @settings(deadline=None)
 def test_field_inverses(a, b):
     if not b.is_zero():
-        assert arith(arith(a, b, "mul"), b, "div") == a
-    assert arith(arith(a, b, "add"), b, "sub") == a
+        assert a * b / b == a
+    assert a + b - b == a
 
 
 @given(rationals, nonzero_polys)
@@ -217,19 +214,19 @@ def test_rat_json_round_trip(r):
 
 def test_series_prefix():
     geom = QRat(qp(1), qp(1, -1))
-    assert series_prefix(geom, 3) == qp(1, 1, 1)
-    assert series_prefix(QRat(qp(1, -1), qp(1, -1)), 5) == qp(1)
+    assert geom.series_prefix(3) == qp(1, 1, 1)
+    assert QRat(qp(1, -1), qp(1, -1)).series_prefix(5) == qp(1)
     # 1/((1-q)(1-q^2)), truncated: multiply the two geometric series by hand
     two = QRat(qp(1), qp(1, -1) * qp(1, 0, -1))
-    assert series_prefix(two, 4) == qp(1, 1, 2, 2)
+    assert two.series_prefix(4) == qp(1, 1, 2, 2)
     with pytest.raises(PoleAtZeroError):
-        series_prefix(QRat(qp(1, offset=-1), qp(1, -1)), 3)
+        QRat(qp(1, offset=-1), qp(1, -1)).series_prefix(3)
 
 
 def test_series_indicator_of_multiples():
     for m in range(1, 6):
         r = QRat(qp(1), QPoly.one() - QPoly.monomial(m))
-        prefix = series_prefix(r, 20)
+        prefix = r.series_prefix(20)
         assert all(prefix.coeff(i) == (1 if i % m == 0 else 0) for i in range(20))
 
 
@@ -238,6 +235,6 @@ def test_series_indicator_of_multiples():
 def test_series_matches_product(r, k):
     if r.num.offset < 0 or r.num.is_zero():
         return
-    approx = series_prefix(r, k)
+    approx = r.series_prefix(k)
     diff = r.num - r.den * approx
     assert all(diff.coeff(i) == 0 for i in range(k))
