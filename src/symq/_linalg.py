@@ -1,7 +1,10 @@
-"""Dense exact matrix inversion over a field (the Fraction transition tables).
+"""Dense exact matrix inversion over a field.
 
 Deterministic Gauss-Jordan: pivot on the first row with a nonzero entry in the
 current column.  Entries only need +, -, *, /, truthiness, and a `one` sample.
+
+No library code calls it: symfunc reads every transition table off a classical
+identity.  It stays importable because perfbench/tracer.py traces it by name.
 """
 
 from __future__ import annotations

@@ -14,8 +14,11 @@ expansion the tool prints is itself valid input (print/parse round-trip).
 Coefficients that are not Laurent polynomials fall back to an aligned table
 with "num / den" cells, which is display-only.
 
-Parentheses nest at most MAX_NESTING deep; deeper input is a syntax error.
-Long operator chains are walked iteratively, so their length costs no stack.
+Parentheses nest at most MAX_NESTING deep; deeper input is a syntax error,
+as is an integer literal too long for int().  Long operator chains are walked
+iteratively, so their length costs no stack.  Laurent polynomials are stored
+densely, so an expression whose q-exponents could span more than MAX_QSPAN
+(see static_qspan) is a usage error.
 
 Exit codes: 0 success, 1 identity/verification failure, 2 usage error.
 """
@@ -45,6 +48,7 @@ DEFAULT_SYMBOLIC_BOUND = 7
 # the oracle takes about 0.5 s on (1^5) but still about 100 s on (1^6)
 DEFAULT_ORACLE_BOUND = 5
 MAX_NESTING = 100
+MAX_QSPAN = 256
 
 
 class ExprSyntaxError(ValueError):
@@ -167,13 +171,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            value = Fraction(int(tok.text))
+            value = Fraction(_int(tok))
             if self.peek().kind == "/":
                 self.advance()
                 den = self.expect("INT")
-                if int(den.text) == 0:
+                if _int(den) == 0:
                     raise ExprSyntaxError("zero denominator", den.pos)
-                value /= int(den.text)
+                value /= _int(den)
             return Num(value)
         if tok.kind == "NAME" and tok.text == "q":
             self.advance()
@@ -184,7 +188,7 @@ class _Parser:
                     self.advance()
                     sign = -1
                 exp = self.expect("INT")
-                return QPow(sign * int(exp.text))
+                return QPow(sign * _int(exp))
             return QPow(1)
         if tok.kind == "NAME":
             if tok.text not in NATIVE_BASES + HL_BASES:
@@ -214,10 +218,18 @@ class _Parser:
 
     def _part_entry(self) -> tuple[int, int]:
         tok = self.expect("INT")
-        value = int(tok.text)
+        value = _int(tok)
         if value <= 0:
             raise ExprSyntaxError("parts must be positive", tok.pos)
         return value, tok.pos
+
+
+def _int(tok: _Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise ExprSyntaxError(f"integer literal of {len(tok.text)} digits is too long",
+                              tok.pos) from None
 
 
 def parse(text: str) -> Expr:
@@ -253,6 +265,25 @@ def static_degree(node: Expr) -> int:
         d = static_degree(right)
         deg = deg + d if op == "*" else max(deg, d)
     return deg
+
+
+def static_qspan(node: Expr) -> int:
+    """Bound on the q-exponent span of any coefficient the expression builds.
+
+    q^k counts |k| and every other atom 0; '+' and '-' take the max, '*' adds.
+    """
+    if isinstance(node, QPow):
+        return abs(node.exponent)
+    if isinstance(node, (Num, BasisElem)):
+        return 0
+    if isinstance(node, Neg):
+        return static_qspan(node.operand)
+    first, rest = _left_chain(node)
+    span = static_qspan(first)
+    for op, right in rest:
+        k = static_qspan(right)
+        span = span + k if op == "*" else max(span, k)
+    return span
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -414,6 +445,14 @@ def _check_degree(degree: int, args, default: int) -> None:
                                       "(raise with --max-degree)"))
 
 
+def _check_exprs(nodes, args) -> None:
+    """Degree bound and q-span cap for the expressions a command evaluates."""
+    _check_degree(max(static_degree(node) for node in nodes), args, DEFAULT_SYMBOLIC_BOUND)
+    span = max(static_qspan(node) for node in nodes)
+    if span > MAX_QSPAN:
+        raise SystemExit(_usage_error(f"q-exponents may span {span}, more than {MAX_QSPAN}"))
+
+
 def _usage_error(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
@@ -427,7 +466,7 @@ def _to_basis(f: SymFunc, target: str) -> SymFunc:
 
 def cmd_expand(args) -> int:
     node = parse(args.expr)
-    _check_degree(static_degree(node), args, DEFAULT_SYMBOLIC_BOUND)
+    _check_exprs([node], args)
     result = _to_basis(eval_expr(node), args.to)
     if args.output == "json":
         print(json.dumps(result.to_json()))
@@ -438,7 +477,7 @@ def cmd_expand(args) -> int:
 
 def cmd_inner(args) -> int:
     left, right = parse(args.left), parse(args.right)
-    _check_degree(max(static_degree(left), static_degree(right)), args, DEFAULT_SYMBOLIC_BOUND)
+    _check_exprs([left, right], args)
     value = hall_inner(eval_expr(left), eval_expr(right))
     if args.output == "json":
         print(json.dumps(value.to_json()))
@@ -540,6 +579,7 @@ def cmd_skew(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_degree(args.max_n, args, DEFAULT_SYMBOLIC_BOUND)
     try:
         if args.suite == "all":
             reports = verify.run_all(args.max_n)
@@ -566,6 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", default=None, help="cache directory (overrides SYMQ_CACHE_DIR)")
     common.add_argument("--no-cache", action="store_true", help="disable the disk cache")
     common.add_argument("--output", choices=("json", "table"), default="table")
+    common.add_argument("--json", action="store_true", help="shorthand for --output json")
     common.add_argument("--max-degree", type=int, default=None,
                         help="override the degree bound (warning above the default)")
 
@@ -576,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", parents=[common], help="expand an expression in a basis")
     p.add_argument("expr")
     p.add_argument("--to", default="s", choices=NATIVE_BASES + HL_BASES)
-    p.add_argument("--json", action="store_true", help="shorthand for --output json")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("inner", parents=[common], help="Hall inner product of two expressions")
@@ -587,7 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kostka", parents=[common], help="graded Kostka table for one degree")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("triangular", "orthogonality"), default="triangular")
-    p.add_argument("--json", action="store_true", help="shorthand for --output json")
     p.add_argument("--cache-verify", action="store_true",
                    help="recompute and compare against the cached table")
     p.set_defaults(func=cmd_kostka)
@@ -613,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "json", False):
+    if args.json:
         args.output = "json"
     try:
         code = args.func(args)

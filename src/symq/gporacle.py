@@ -27,7 +27,7 @@ from math import comb, factorial, gcd
 
 from .partition import Partition, partitions
 from .qcoeff import QPoly, QRat
-from .sncharacter import GradedCharacter, char_table
+from .sncharacter import GradedCharacter, char_table, decompose, induce_product, irreducible
 
 __all__ = [
     "MonomialSpace",
@@ -344,14 +344,11 @@ def graded_character(lam: Partition) -> GradedCharacter:
 
 
 def _induced_trivial_multiplicities(lam: Partition) -> dict[Partition, int]:
-    """Decomposition of Ind_{S_lambda}^{S_n} triv, via the h-to-s transition."""
-    from .symfunc import convert, unit
-
-    hs = convert(unit("h", lam), "s")
-    out = {}
-    for mu, c in hs.terms.items():
-        out[mu] = int(c.as_poly().evaluate(0))
-    return out
+    """Decomposition of Ind_{S_lambda}^{S_n} triv, inducing one trivial factor per part."""
+    ind = irreducible(Partition())
+    for part in lam.parts:
+        ind = induce_product(ind, irreducible(Partition((part,))))
+    return {mu: int(c.as_poly().evaluate(0)) for mu, c in decompose(ind).mult.items()}
 
 
 def oracle_report(lam: Partition) -> dict:

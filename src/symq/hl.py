@@ -322,7 +322,7 @@ def kostka_orthogonality(n: int) -> KostkaTable:
     """
     labels = partitions(n)
     size = len(labels)
-    schurs = [big_schur(lam) for lam in labels]
+    schurs = [to_p(big_schur(lam)) for lam in labels]
     gram = [[QRat.zero()] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):

@@ -5,10 +5,20 @@ rational-function coefficients.  Native bases are m, e, h, s, p; the
 Hall-Littlewood bases P, Q, S are produced and consumed by the `hl` module
 and only pass through here as opaque tags.
 
-All conversions route through the power sums: e and h come from the Newton
-recurrences, s from the character tables, and m by classical duality
-(the m-coefficient of f is the q = 0 pairing <f, h_mu>).  Transition data is
-cached per degree as exact Fraction matrices.
+All conversions route through the power sums.  Each native basis b in
+{h, e, s, m} has one cached pair of sparse exact tables per degree, the
+p-coordinates of b_lam and the b-coordinates of p_rho, and each table is read
+off a classical identity (Macdonald, Symmetric Functions and Hall
+Polynomials, Ch. I); no table is a matrix inverse:
+
+- h: Newton's identities, n h_n = sum_i h_{n-i} p_i one way and
+  p_n = n h_n - sum_{i<n} h_{n-i} p_i the other, extended multiplicatively;
+- e: the involution omega applied to h, which scales p_rho by
+  (-1)^{|rho| - l(rho)};
+- s: the character table, s_lam = sum_rho chi^lam_rho p_rho / z_rho and
+  p_rho = sum_lam chi^lam_rho s_lam;
+- m: the q = 0 Hall duality <h_lam, m_mu> = delta with <p_rho, p_rho> = z_rho,
+  so m is read off the two h tables scaled by z_rho.
 
 The q-deformed Hall pairing is diagonal on power sums:
 <p_lam, p_mu> = delta * z_lam / prod_i (1 - q^{lam_i}).
@@ -20,7 +30,6 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._linalg import invert_matrix
 from .partition import Partition, partitions
 from .qcoeff import QPoly, QRat
 from .sncharacter import char_table
@@ -167,7 +176,12 @@ def one(basis: str = "p") -> SymFunc:
     return SymFunc(basis, {Partition(): QRat.one()})
 
 
-# -- power-sum expansions of the multiplicative bases -------------------------
+# -- transition tables: one sparse pair per native basis and degree -------------
+
+# Row lam of a table holds the coordinates of one basis element: to_p[lam][rho]
+# is the p_rho-coefficient of b_lam, from_p[rho][lam] the b_lam-coefficient of
+# p_rho.  Rows are sparse dicts of exact Fractions.
+_Table = dict[Partition, dict[Partition, Fraction]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,20 +198,17 @@ def _hn_to_p(n: int) -> dict[Partition, Fraction]:
 
 
 @functools.lru_cache(maxsize=None)
-def _en_to_p(n: int) -> dict[Partition, Fraction]:
-    """e_n in power sums, via n e_n = sum_{i=1}^{n} (-1)^{i-1} e_{n-i} p_i."""
-    if n == 0:
-        return {Partition(): Fraction(1)}
-    out: dict[Partition, Fraction] = {}
-    for i in range(1, n + 1):
-        sign = 1 if i % 2 else -1
-        for lam, c in _en_to_p(n - i).items():
-            key = Partition(tuple(sorted(lam.parts + (i,), reverse=True)))
-            out[key] = out.get(key, Fraction(0)) + Fraction(sign * c, n)
-    return out
+def _pn_to_h(n: int) -> dict[Partition, Fraction]:
+    """p_n (n >= 1) in the h basis, via p_n = n h_n - sum_{i=1}^{n-1} h_{n-i} p_i."""
+    out = {Partition((n,)): Fraction(n)}
+    for i in range(1, n):
+        for lam, c in _merge_expansion({Partition((n - i,)): Fraction(1)}, _pn_to_h(i)).items():
+            out[lam] = out.get(lam, Fraction(0)) - c
+    return {lam: c for lam, c in out.items() if c}
 
 
 def _merge_expansion(a: dict[Partition, Fraction], b: dict[Partition, Fraction]) -> dict[Partition, Fraction]:
+    """Product of two expansions in a multiplicative basis (p or h)."""
     out: dict[Partition, Fraction] = {}
     for lam, c in a.items():
         for mu, d in b.items():
@@ -206,162 +217,83 @@ def _merge_expansion(a: dict[Partition, Fraction], b: dict[Partition, Fraction])
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _h_lambda_to_p(lam: Partition) -> dict[Partition, Fraction]:
+def _multiplicative(lam: Partition, single) -> dict[Partition, Fraction]:
+    """prod_i single(lam_i), for a basis with b_lam = prod_i b_{lam_i}."""
     out = {Partition(): Fraction(1)}
     for part in lam.parts:
-        out = _merge_expansion(out, _hn_to_p(part))
+        out = _merge_expansion(out, single(part))
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _e_lambda_to_p(lam: Partition) -> dict[Partition, Fraction]:
-    out = {Partition(): Fraction(1)}
-    for part in lam.parts:
-        out = _merge_expansion(out, _en_to_p(part))
-    return out
-
-
-@dataclass(frozen=True)
-class _DegreeTables:
-    """Cached exact transition data for one homogeneous degree."""
-
-    n: int
-    labels: tuple[Partition, ...]
-    index: dict[Partition, int]
-    h_matrix: list[list[Fraction]]      # row k: p-coords of h_{labels[k]}
-    e_matrix: list[list[Fraction]]
-    hT_inv: list[list[Fraction]]        # inverse of h_matrix transpose
-    eT_inv: list[list[Fraction]]
-    p_to_m: list[list[Fraction]]        # maps p-coords to m-coords
-    m_to_p: list[list[Fraction]]
+def _omega_sign(rho: Partition) -> int:
+    """omega(p_rho) = (-1)^{|rho| - l(rho)} p_rho."""
+    return -1 if (rho.size - rho.length) % 2 else 1
 
 
 @functools.lru_cache(maxsize=None)
-def _tables(n: int) -> _DegreeTables:
+def _transition(basis: str, n: int) -> tuple[_Table, _Table]:
+    """(to_p, from_p) of a native basis in degree n, by the identities in the
+    module docstring."""
     labels = partitions(n)
-    index = {lam: i for i, lam in enumerate(labels)}
-    size = len(labels)
+    if basis == "h":
+        return ({lam: _multiplicative(lam, _hn_to_p) for lam in labels},
+                {rho: _multiplicative(rho, _pn_to_h) for rho in labels})
+    if basis == "e":
+        h_to, h_from = _transition("h", n)
+        return ({lam: {rho: c * _omega_sign(rho) for rho, c in row.items()}
+                 for lam, row in h_to.items()},
+                {rho: {lam: c * _omega_sign(rho) for lam, c in row.items()}
+                 for rho, row in h_from.items()})
+    if basis == "s":
+        table = char_table(n)
+        to_rows: _Table = {lam: {} for lam in labels}
+        from_rows: _Table = {rho: {} for rho in labels}
+        for lam, row in zip(table.labels, table.values):
+            for rho, chi in zip(table.labels, row):
+                if chi:
+                    to_rows[lam][rho] = Fraction(chi, rho.z_stat())
+                    from_rows[rho][lam] = Fraction(chi)
+        return to_rows, from_rows
+    if basis == "m":
+        h_to, h_from = _transition("h", n)
+        to_rows = {mu: {} for mu in labels}
+        from_rows = {rho: {} for rho in labels}
+        for rho, row in h_from.items():
+            for mu, c in row.items():
+                to_rows[mu][rho] = c / rho.z_stat()
+        for mu, row in h_to.items():
+            for rho, c in row.items():
+                from_rows[rho][mu] = c * rho.z_stat()
+        return to_rows, from_rows
+    raise ValueError(f"unsupported basis pair: {basis!r} is handled by the hl module")
 
-    def expansion_matrix(expand) -> list[list[Fraction]]:
-        rows = []
-        for lam in labels:
-            row = [Fraction(0)] * size
-            for mu, c in expand(lam).items():
-                row[index[mu]] = c
-            rows.append(row)
-        return rows
 
-    h_matrix = expansion_matrix(_h_lambda_to_p)
-    e_matrix = expansion_matrix(_e_lambda_to_p)
-    transpose = lambda m: [list(col) for col in zip(*m)]
-    hT_inv = invert_matrix(transpose(h_matrix), Fraction(1))
-    eT_inv = invert_matrix(transpose(e_matrix), Fraction(1))
-    # m-coefficient of p_nu at m_mu is the q = 0 pairing <p_nu, h_mu> = z_nu H[mu][nu].
-    p_to_m = [
-        [labels[v].z_stat() * h_matrix[u][v] for v in range(size)] for u in range(size)
-    ]
-    m_to_p = invert_matrix(p_to_m, Fraction(1))
-    return _DegreeTables(n, labels, index, h_matrix, e_matrix, hT_inv, eT_inv, p_to_m, m_to_p)
-
-
-def _apply(matrix: list[list[Fraction]], vec: list[QRat]) -> list[QRat]:
-    out = []
-    for row in matrix:
-        acc = QRat.zero()
-        for a, v in zip(row, vec):
-            if a and not v.is_zero():
-                acc = acc + v * a
-        out.append(acc)
+def _apply(table: _Table, terms: dict[Partition, QRat]) -> dict[Partition, QRat]:
+    """Sparse multiply-accumulate: sum over lam of terms[lam] * table[lam]."""
+    out: dict[Partition, QRat] = {}
+    for lam, c in terms.items():
+        for mu, a in table[lam].items():
+            x = c * a
+            out[mu] = out[mu] + x if mu in out else x
     return out
 
 
-def _coords(f: SymFunc, n: int) -> list[QRat]:
-    t = _tables(n)
-    vec = [QRat.zero()] * len(t.labels)
-    for lam, c in f.terms.items():
-        if lam.size == n:
-            vec[t.index[lam]] = c
-    return vec
-
-
-def _from_coords(basis: str, n: int, vec: list[QRat]) -> SymFunc:
-    t = _tables(n)
-    return SymFunc(basis, {t.labels[i]: c for i, c in enumerate(vec) if not c.is_zero()})
-
-
-def _to_p_homogeneous(f: SymFunc, n: int) -> list[QRat]:
+def _to_p_homogeneous(f: SymFunc, n: int) -> dict[Partition, QRat]:
     """p-coordinates of the degree-n part of f."""
-    t = _tables(n)
-    vec = _coords(f, n)
-    if f.basis == "p":
-        return vec
-    if f.basis == "s":
-        table = char_table(n)
-        out = [QRat.zero()] * len(t.labels)
-        for lam, c in f.terms.items():
-            if lam.size != n or c.is_zero():
-                continue
-            row = table.values[table.index(lam)]
-            for j, mu in enumerate(t.labels):
-                if row[j]:
-                    out[j] = out[j] + c * Fraction(row[j], mu.z_stat())
-        return out
-    if f.basis == "h":
-        out = [QRat.zero()] * len(t.labels)
-        for lam, c in f.terms.items():
-            if lam.size != n:
-                continue
-            for mu, a in _h_lambda_to_p(lam).items():
-                j = t.index[mu]
-                out[j] = out[j] + c * a
-        return out
-    if f.basis == "e":
-        out = [QRat.zero()] * len(t.labels)
-        for lam, c in f.terms.items():
-            if lam.size != n:
-                continue
-            for mu, a in _e_lambda_to_p(lam).items():
-                j = t.index[mu]
-                out[j] = out[j] + c * a
-        return out
-    if f.basis == "m":
-        return _apply(t.m_to_p, vec)
-    raise ValueError(f"unsupported basis pair: {f.basis!r} is handled by the hl module")
+    terms = {lam: c for lam, c in f.terms.items() if lam.size == n}
+    return terms if f.basis == "p" else _apply(_transition(f.basis, n)[0], terms)
 
 
-def _from_p_homogeneous(vec: list[QRat], n: int, target: str) -> SymFunc:
-    t = _tables(n)
-    if target == "p":
-        return _from_coords("p", n, vec)
-    if target == "s":
-        table = char_table(n)
-        out = [QRat.zero()] * len(t.labels)
-        for i, lam in enumerate(t.labels):
-            row = table.values[table.index(lam)]
-            acc = QRat.zero()
-            for j, v in enumerate(vec):
-                if row[j] and not v.is_zero():
-                    acc = acc + v * row[j]
-            out[i] = acc
-        return _from_coords("s", n, out)
-    if target == "h":
-        return _from_coords("h", n, _apply(t.hT_inv, vec))
-    if target == "e":
-        return _from_coords("e", n, _apply(t.eT_inv, vec))
-    if target == "m":
-        return _from_coords("m", n, _apply(t.p_to_m, vec))
-    raise ValueError(f"unsupported basis pair: {target!r} is handled by the hl module")
+def _from_p_homogeneous(terms: dict[Partition, QRat], n: int, target: str) -> dict[Partition, QRat]:
+    """target-coordinates of a degree-n element given by its p-coordinates."""
+    return terms if target == "p" else _apply(_transition(target, n)[1], terms)
 
 
 def to_p(f: SymFunc) -> SymFunc:
     """Expand f in power sums (any native source basis, any mix of degrees)."""
     terms: dict[Partition, QRat] = {}
     for n in f.degrees():
-        t = _tables(n)
-        for i, c in enumerate(_to_p_homogeneous(f, n)):
-            if not c.is_zero():
-                terms[t.labels[i]] = c
+        terms.update(_to_p_homogeneous(f, n))
     return SymFunc("p", terms)
 
 
@@ -374,8 +306,7 @@ def convert(f: SymFunc, target: str) -> SymFunc:
         return f
     terms: dict[Partition, QRat] = {}
     for n in f.degrees():
-        part = _from_p_homogeneous(_to_p_homogeneous(f, n), n, target)
-        terms.update(part.terms)
+        terms.update(_from_p_homogeneous(_to_p_homogeneous(f, n), n, target))
     return SymFunc(target, terms)
 
 

@@ -1,6 +1,8 @@
 """Expression language and subcommand behavior, driven through main()."""
 
 import json
+import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -195,6 +197,59 @@ def test_long_operator_chains_evaluate(capsys):
     assert (code, out) == (0, "s[2]\n")
 
 
+def run_quickly(capsys, *argv):
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    return result
+
+
+@pytest.mark.parametrize("expr, offset", [
+    ("{big}*s[1]", 0),
+    ("q^{big}*s[1]", 2),
+    ("q^-{big}*s[1]", 3),
+    ("1/{big}*s[1]", 2),
+    ("s[2,{big}]", 4),
+])
+def test_overlong_integer_literal_is_a_syntax_error(capsys, expr, offset):
+    code, out, err = run_quickly(capsys, "expand", expr.format(big="7" * 5000))
+    assert (code, out) == (2, "")
+    assert f"offset {offset}:" in err and "5000 digits" in err
+    assert "Traceback" not in err
+
+
+def test_static_qspan():
+    assert cli.static_qspan(parse("q^3*s[1] + q^-5*(1 + q)")) == 6
+    assert cli.static_qspan(parse("-(q^2 - q^-7)*q*s[2]")) == 8
+    assert cli.static_qspan(parse("2*s[1]")) == 0
+
+
+@pytest.mark.parametrize("expr", [
+    "(q^200000 + 1)*s[1]",
+    "(q^1000 + 1)*" * 100 + "s[1]",
+    "(q^-200 + 1)*(q^57 + 1)*s[1]",
+])
+def test_wide_q_span_is_a_usage_error(capsys, expr):
+    for argv in (["expand", expr], ["inner", "s[1]", expr]):
+        code, out, err = run_quickly(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"more than {cli.MAX_QSPAN}" in err
+        assert "Traceback" not in err
+    code, out, err = run(capsys, "expand", f"(q^{cli.MAX_QSPAN} + 1)*s[1]")
+    assert (code, out) == (0, f"(1 + q^{cli.MAX_QSPAN})*s[1]\n")
+
+
+def test_verify_degree_bound(capsys):
+    code, out, err = run_quickly(capsys, "verify", "--max-n", "12")
+    assert (code, out) == (2, "")
+    assert "degree 12 exceeds bound 7" in err
+    assert "Traceback" not in err
+    code, out, err = run_quickly(capsys, "verify", "--suite", "hopf", "--max-n", "12",
+                                 "--max-degree", "11")
+    assert (code, out) == (2, "")
+    assert "degree 12 exceeds bound 11" in err
+
+
 def test_expand_degree_bound(capsys):
     code, out, err = run(capsys, "expand", "P[5,3]", "--to", "s")
     assert code == 2
@@ -365,6 +420,23 @@ def test_verify_all_negative_max_n_is_usage_error(capsys, magnitude):
     assert out == ""
     assert "max_n must be nonnegative" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "s[2,1]", "--to", "m"],
+    ["inner", "P[2]", "Q[2]"],
+    ["kostka", "--n", "3", "--no-cache"],
+    ["gp", "--partition", "2,1"],
+    ["skew", "--lambda", "3,1", "--nu", "1"],
+    ["verify", "--suite", "hopf", "--max-n", "2"],
+])
+def test_json_flag_on_every_subcommand(capsys, monkeypatch, argv):
+    # suite reports carry their elapsed time; freeze the clock they read
+    monkeypatch.setattr(cli.verify, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0
+    assert (code, out, err) == run(capsys, *argv, "--output", "json")
+    json.loads(out)
 
 
 def test_verify_all_json(capsys):

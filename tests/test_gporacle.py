@@ -158,6 +158,19 @@ def _row_set(rref):
     return {frozenset(row.items()) for row in rref.rows}
 
 
+def test_oracle_report_uses_no_symmetric_functions(monkeypatch):
+    from symq import symfunc
+
+    want = [oracle_report(lam) for lam in partitions(4)]
+
+    def forbidden(*args):
+        raise AssertionError("the oracle reached symfunc")
+
+    monkeypatch.setattr(symfunc, "convert", forbidden)
+    monkeypatch.setattr(symfunc, "to_p", forbidden)
+    assert [oracle_report(lam) for lam in partitions(4)] == want
+
+
 def test_lifted_ideal_equals_direct_span():
     # I_d lifted from x_i * I_{d-1} must be the span of all generator
     # multiples; the reduced basis is unique, so the row sets must agree

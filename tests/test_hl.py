@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symq import hl
+from symq import hl, symfunc
 from symq.hl import (
     KostkaTable,
     big_schur,
@@ -181,6 +181,25 @@ def test_route_one_builds_no_big_schur():
             obj.cache_clear()
     kostka_triangular(4)
     assert big_schur.cache_info().currsize == 0
+
+
+def test_route_two_expands_each_big_schur_once(monkeypatch):
+    # the Gram matrix pairs power-sum expansions; it does not redo them per pair
+    for obj in vars(hl).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    original = symfunc.to_p
+    converted = []
+
+    def counting_to_p(f):
+        if f.basis != "p":
+            converted.append(f)
+        return original(f)
+
+    monkeypatch.setattr(symfunc, "to_p", counting_to_p)
+    monkeypatch.setattr(hl, "to_p", counting_to_p)
+    kostka_orthogonality(5)
+    assert 0 < len(converted) <= 2 * len(partitions(5))
 
 
 def test_triangularity_validation():

@@ -19,6 +19,7 @@ from symq.symfunc import (
     tensor_product,
     to_p,
     unit,
+    _transition,
 )
 
 
@@ -68,6 +69,27 @@ def test_known_transitions():
     # h_n in monomials: one of each
     got = convert(unit("h", pt(3)), "m")
     assert got.terms == {mu: QRat.one() for mu in partitions(3)}
+    assert convert(unit("m", pt(2, 1)), "p").terms == {
+        pt(2, 1): QRat.one(), pt(3): QRat.from_int(-1)
+    }
+    assert convert(unit("p", pt(2, 1)), "m").terms == {
+        pt(3): QRat.one(), pt(2, 1): QRat.one()
+    }
+
+
+@pytest.mark.parametrize("basis", ["h", "e", "s", "m"])
+def test_transition_tables_are_mutually_inverse(basis):
+    # each pair is built from identities, not by inversion: check it exactly
+    for n in range(0, 9):
+        to_p_table, from_p_table = _transition(basis, n)
+        labels = partitions(n)
+        for lam in labels:
+            for mu in labels:
+                got = sum(
+                    (a * from_p_table[rho].get(mu, 0) for rho, a in to_p_table[lam].items()),
+                    Fraction(0),
+                )
+                assert got == (1 if lam == mu else 0), (basis, lam, mu)
 
 
 def test_e_h_duality_via_conjugation():
