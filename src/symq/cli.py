@@ -18,7 +18,9 @@ Parentheses nest at most MAX_NESTING deep; deeper input is a syntax error,
 as is an integer literal too long for int().  Long operator chains are walked
 iteratively, so their length costs no stack.  Laurent polynomials are stored
 densely, so an expression whose q-exponents could span more than MAX_QSPAN
-(see static_qspan) is a usage error.
+(see static_qspan) is a usage error.  So is one whose coefficients could pass
+10**MAX_DIGITS (see static_digits), since Python will not print an integer of
+more than 4300 digits.
 
 Exit codes: 0 success, 1 identity/verification failure, 2 usage error.
 """
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import hl, verify
+from . import __version__, hl, verify
 from .gporacle import oracle_report
 from .partition import Partition, parse_partition
 from .qcoeff import QPoly, QRat
@@ -49,6 +51,9 @@ DEFAULT_SYMBOLIC_BOUND = 7
 DEFAULT_ORACLE_BOUND = 5
 MAX_NESTING = 100
 MAX_QSPAN = 256
+# coefficients up to 10**MAX_DIGITS stay below Python's 4300-digit str() limit,
+# with headroom for the basis-change factors
+MAX_DIGITS = 4000
 
 
 class ExprSyntaxError(ValueError):
@@ -286,6 +291,43 @@ def static_qspan(node: Expr) -> int:
     return span
 
 
+def static_digits(node: Expr) -> int:
+    """A d with |c| <= 10**d for every numerator and denominator c the expression builds.
+
+    Such a c has at most d + 1 digits.  For integer coefficients '*' adds the
+    bounds and '+'/'-' take the max plus one.  A rational literal also carries
+    a bound on its denominator, which '*', '+' and '-' all add, since the
+    denominator of a sum divides the product of the two.
+    """
+    return max(_digit_bounds(node))
+
+
+def _log10_ceil(k: int) -> int:
+    """The least d >= 0 with |k| <= 10**d."""
+    k = abs(k)
+    return len(str(k - 1)) if k > 1 else 0
+
+
+def _digit_bounds(node: Expr) -> tuple[int, int]:
+    """(numerator bound, denominator bound) in the sense of static_digits."""
+    if isinstance(node, Num):
+        return _log10_ceil(node.value.numerator), _log10_ceil(node.value.denominator)
+    if isinstance(node, (QPow, BasisElem)):
+        return 0, 0
+    if isinstance(node, Neg):
+        return _digit_bounds(node.operand)
+    first, rest = _left_chain(node)
+    num, den = _digit_bounds(first)
+    for op, right in rest:
+        n, d = _digit_bounds(right)
+        if op == "*":
+            num = num + n
+        else:
+            num = max(num + d, n + den) + 1
+        den += d
+    return num, den
+
+
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
@@ -402,13 +444,15 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
 def _load_cached_kostka(path: Path, n: int):
     """The cached degree-n table, or None when the file is missing or not one.
 
-    Unreadable JSON, a payload of the wrong shape, and a table for another
-    degree are all cache misses, so the caller recomputes and overwrites.
+    Unreadable JSON, a payload of the wrong shape, a table written by another
+    version of symq and a table for another degree are all cache misses, so
+    the caller recomputes and overwrites.
     """
     try:
         with open(path) as fh:
             payload = json.load(fh)
         if (payload["format_version"] != CACHE_FORMAT_VERSION or payload["kind"] != "kostka"
+                or payload["version"] != __version__
                 or payload["n"] != n or payload["table"]["n"] != n):
             return None
         table = hl.KostkaTable.from_json(payload["table"])
@@ -422,6 +466,7 @@ def _load_cached_kostka(path: Path, n: int):
 def _store_kostka(path: Path, table) -> None:
     _atomic_write_json(path, {
         "format_version": CACHE_FORMAT_VERSION,
+        "version": __version__,
         "kind": "kostka",
         "n": table.n,
         "table": table.to_json(),
@@ -446,11 +491,18 @@ def _check_degree(degree: int, args, default: int) -> None:
 
 
 def _check_exprs(nodes, args) -> None:
-    """Degree bound and q-span cap for the expressions a command evaluates."""
+    """Degree bound, q-span cap and digit cap for the expressions a command evaluates.
+
+    `inner` pairs two expressions, multiplying their coefficients, so their
+    digit bounds add.
+    """
     _check_degree(max(static_degree(node) for node in nodes), args, DEFAULT_SYMBOLIC_BOUND)
     span = max(static_qspan(node) for node in nodes)
     if span > MAX_QSPAN:
         raise SystemExit(_usage_error(f"q-exponents may span {span}, more than {MAX_QSPAN}"))
+    digits = sum(static_digits(node) for node in nodes)
+    if digits > MAX_DIGITS:
+        raise SystemExit(_usage_error(f"coefficients may reach 10^{digits}, more than 10^{MAX_DIGITS}"))
 
 
 def _usage_error(msg: str) -> int:

@@ -13,6 +13,17 @@ equality in Q(q):
   coefficient,
 * numerator and denominator are coprime in Q[q].
 
+The values are stored as `Fraction`s, but the kernels work in Z[q]: each one
+clears the coefficients of its operands to an integer vector over one common
+denominator (`_ints`), does its multiply-adds on Python ints and builds one
+`Fraction` per output coefficient (`_from_ints`).  `QPoly` sum and product
+convolve integer numerators; `div_exact` is exact division in Z[q] (`_zquo`);
+`QRat` divides a constant denominator straight into the numerator and reduces
+any other by the primitive gcd in Z[q] (`_zgcd`, the primitive polynomial
+remainder sequence of Collins, *J. ACM* 14, 1967), then divides out the
+denominator's content and sign.  `poly_gcd` is the monic form of that gcd; no
+normalisation calls it.
+
 >>> one_minus_q = QPoly.one() - QPoly.q()
 >>> (QRat.from_poly(QPoly.one()) / QRat.from_poly(one_minus_q)).series_prefix(4)
 QPoly(offset=0, coeffs=(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)))
@@ -22,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd, lcm
 from typing import Union
 
 __all__ = [
@@ -141,14 +152,15 @@ class QPoly:
             return other
         if not other.coeffs:
             return self
+        a, da = _ints(self.coeffs)
+        b, db = _ints(other.coeffs)
+        d = lcm(da, db)
         off = min(self.offset, other.offset)
-        top = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
-        cs = [Fraction(0)] * (top - off)
-        for i, c in enumerate(self.coeffs):
-            cs[self.offset - off + i] += c
-        for i, c in enumerate(other.coeffs):
-            cs[other.offset - off + i] += c
-        return QPoly(off, tuple(cs))
+        cs = [0] * (max(self.offset + len(a), other.offset + len(b)) - off)
+        for vec, shift, scale in ((a, self.offset - off, d // da), (b, other.offset - off, d // db)):
+            for i, x in enumerate(vec, shift):
+                cs[i] += x * scale
+        return _from_ints(off, cs, d)
 
     __radd__ = __add__
 
@@ -175,12 +187,14 @@ class QPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return QPoly.zero()
-        cs = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    cs[i + j] += a * b
-        return QPoly(self.offset + other.offset, tuple(cs))
+        a, da = _ints(self.coeffs)
+        b, db = _ints(other.coeffs)
+        cs = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    cs[j] += x * y
+        return _from_ints(self.offset + other.offset, cs, da * db)
 
     __rmul__ = __mul__
 
@@ -253,12 +267,14 @@ class QPoly:
             raise QDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
-        a = QPoly(0, self.coeffs)
-        b = QPoly(0, other.coeffs)
-        quo, rem = a.divmod_poly(b)
-        if not rem.is_zero():
+        a, da = _ints(self.coeffs)
+        b, db = _ints(other.coeffs)
+        cb, b = _split(b)
+        # b is primitive, so by Gauss's lemma it divides a in Z[q] if at all
+        quo = _zquo(a, b)
+        if quo is None:
             raise QDivisionError("inexact polynomial division")
-        return quo.shift(self.offset - other.offset)
+        return _from_ints(self.offset - other.offset, [x * db for x in quo], da * cb)
 
     # -- presentation ------------------------------------------------------
 
@@ -306,34 +322,110 @@ class QPoly:
         return QPoly(int(obj["offset"]), tuple(Fraction(c) for c in obj["coeffs"]))
 
 
-def _monic(p: QPoly) -> QPoly:
-    lead = p.coeffs[-1]
-    return p if lead == 1 else p * (1 / lead)
+def _ints(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer vector v and positive d with coeffs == v / d."""
+    dens = [c.denominator for c in coeffs]
+    d = lcm(*dens)
+    if d == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (d // e) for c, e in zip(coeffs, dens)], d
+
+
+def _from_ints(offset: int, cs: list[int], d: int) -> QPoly:
+    """The polynomial sum(cs[i] q^(offset + i)) / d, trimmed; d != 0."""
+    lo, hi = 0, len(cs)
+    while lo < hi and not cs[lo]:
+        lo += 1
+    while hi > lo and not cs[hi - 1]:
+        hi -= 1
+    if lo == hi:
+        return _ZERO
+    if d == 1:
+        return _raw(offset + lo, tuple(map(Fraction, cs[lo:hi])))
+    return _raw(offset + lo, tuple(Fraction(x, d) for x in cs[lo:hi]))
+
+
+def _raw(offset: int, coeffs: tuple[Fraction, ...]) -> QPoly:
+    """A QPoly from coefficients already trimmed and of type Fraction."""
+    p = object.__new__(QPoly)
+    object.__setattr__(p, "offset", offset)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
+
+
+_ZERO = QPoly(0, ())
+_ONE = QPoly.one()
+
+
+def _split(v: list[int]) -> tuple[int, list[int]]:
+    """Content (positive) and primitive part of a nonzero integer vector."""
+    c = gcd(*v)
+    return c, (v if c == 1 else [x // c for x in v])
+
+
+def _zquo(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b in Z[q] (vectors from q^0 up, b[-1] != 0), or None if b does not divide a there."""
+    db = len(b) - 1
+    n = len(a) - db
+    if n <= 0:
+        return None
+    r = list(a)
+    lead = b[-1]
+    quo = [0] * n
+    for i in range(n - 1, -1, -1):
+        c = r[i + db]
+        if c:
+            f, m = divmod(c, lead)
+            if m:
+                return None
+            quo[i] = f
+            for j, y in enumerate(b, i):
+                r[j] -= f * y
+    return None if any(r[:db]) else quo
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by b times a nonzero integer, trimmed; len(a) >= len(b)."""
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    while len(r) > db:
+        c = r[-1]
+        g = gcd(lead, c)
+        s, t = lead // g, c // g
+        k = len(r) - 1 - db
+        r = [x * s for x in r] if s != 1 else r
+        for j, y in enumerate(b, k):
+            r[j] -= t * y
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd in Z[q] of two nonzero primitive vectors, leading coefficient positive.
+
+    The primitive polynomial remainder sequence: each remainder is made
+    primitive before the next step, so the coefficients stay small.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b if b[-1] > 0 else [-y for y in b]
+        a, b = b, _split(r)[1]
+    return [1]
 
 
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
     """Monic gcd in Q[q] of the polynomial parts (offsets stripped)."""
-    a = QPoly(0, a.coeffs)
-    b = QPoly(0, b.coeffs)
-    while not b.is_zero():
-        a, b = b, a.divmod_poly(b)[1]
-    if a.is_zero():
-        return a
-    return _monic(a)
-
-
-def _den_scale(den: QPoly) -> Fraction:
-    """Scalar s such that den*s has integer coefficients, content 1, positive lead."""
-    lcm = 1
-    for c in den.coeffs:
-        lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
-    g = 0
-    for c in den.coeffs:
-        g = _int_gcd(g, abs(c.numerator * (lcm // c.denominator)))
-    s = Fraction(lcm, g)
-    if den.coeffs[-1] < 0:
-        s = -s
-    return s
+    parts = [_split(_ints(p.coeffs)[0])[1] for p in (a, b) if p.coeffs]
+    if not parts:
+        return _ZERO
+    g = _zgcd(*parts) if len(parts) == 2 else parts[0]
+    return _from_ints(0, g, g[-1])
 
 
 @dataclass(frozen=True)
@@ -356,18 +448,28 @@ class QRat:
             object.__setattr__(self, "den", QPoly.one())
             return
         # Absorb the denominator's q-power into the numerator offset.
-        num = num.shift(-den.offset)
-        den = QPoly(0, den.coeffs)
-        g = poly_gcd(num, den)
-        if not g.is_one():
-            num = num.div_exact(g)
-            den = den.div_exact(g)
-        s = _den_scale(den)
-        if s != 1:
-            num = num * s
-            den = den * s
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        off = num.offset - den.offset
+        if len(den.coeffs) == 1:
+            c = den.coeffs[0]
+            cs = num.coeffs if c == 1 else tuple(x / c for x in num.coeffs)
+            object.__setattr__(self, "num", _raw(off, cs))
+            object.__setattr__(self, "den", _ONE)
+            return
+        a, da = _ints(num.coeffs)
+        b, db = _ints(den.coeffs)
+        ca, a = _split(a)
+        cb, b = _split(b)
+        g = _zgcd(a, b)
+        if len(g) > 1:
+            # exact in Z[q] by Gauss's lemma, since g is primitive
+            a, b = _zquo(a, g), _zquo(b, g)
+        # num/den = (ca*db / (cb*da)) * a/b, with a and b primitive and coprime
+        s, t = ca * db, cb * da
+        if b[-1] < 0:
+            b = [-y for y in b]
+            s = -s
+        object.__setattr__(self, "num", _from_ints(off, [x * s for x in a], t))
+        object.__setattr__(self, "den", _from_ints(0, b, 1))
 
     # -- constructors ------------------------------------------------------
 

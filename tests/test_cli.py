@@ -239,6 +239,34 @@ def test_wide_q_span_is_a_usage_error(capsys, expr):
     assert (code, out) == (0, f"(1 + q^{cli.MAX_QSPAN})*s[1]\n")
 
 
+def test_static_digits():
+    # the least d with |c| <= 10^d for every numerator and denominator c
+    assert cli.static_digits(parse("12*345*s[1]")) == 5
+    assert cli.static_digits(parse("s[1] + s[1] + s[1]")) == 2
+    assert cli.static_digits(parse("-(100 - 7)*q^3*s[2]")) == 3
+    assert cli.static_digits(parse("10*s[1] + 1")) == 2
+    # a sum of rationals: 1*7 + 1*3 over 3*7
+    assert cli.static_digits(parse("1/3*s[1] + 1/7*s[2]")) == 2
+    assert cli.static_digits(parse("1/123456*s[1]")) == 6
+
+
+def test_coefficient_digits_are_a_usage_error(capsys):
+    big = "7" * 4000
+    expr = f"{big}*{big}*s[1]"
+    for argv in (["expand", expr], ["expand", expr, "--json"],
+                 ["inner", "s[1]", expr], ["inner", "s[1]", expr, "--json"],
+                 ["inner", f"{'7' * 2001}*s[1]", f"{'7' * 2000}*s[1]"]):
+        code, out, err = run_quickly(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"more than 10^{cli.MAX_DIGITS}" in err
+        assert "Traceback" not in err
+    half = "9" * (cli.MAX_DIGITS // 2)
+    code, out, err = run_quickly(capsys, "expand", f"{half}*{half}*s[1]")
+    assert (code, out) == (0, f"{int(half) ** 2}*s[1]\n")
+    code, out, err = run_quickly(capsys, "inner", f"{half}*s[1]", f"{half}*s[1]")
+    assert (code, out) == (0, f"-{int(half) ** 2} / (-1+q)\n")
+
+
 def test_verify_degree_bound(capsys):
     code, out, err = run_quickly(capsys, "verify", "--max-n", "12")
     assert (code, out) == (2, "")
@@ -351,6 +379,26 @@ def test_kostka_cache_of_the_wrong_shape_is_a_miss(tmp_path, capsys):
         path.write_text(json.dumps(payload))
         code, out, err = run(capsys, "kostka", "--n", "3", "--cache-dir", str(tmp_path))
         assert (code, out, err) == (0, fresh, "")
+        assert json.loads(path.read_text())["table"] == cli.hl.kostka_triangular(3).to_json()
+
+
+def test_kostka_cache_from_another_version_is_a_miss(tmp_path, capsys):
+    fresh = run(capsys, "kostka", "--n", "3", "--no-cache")[1]
+    path = tmp_path / "kostka_n3.json"
+    for version in ("0.0.1", None):
+        run(capsys, "kostka", "--n", "3", "--cache-dir", str(tmp_path))
+        payload = json.loads(path.read_text())
+        assert payload["version"] == cli.__version__
+        # a wrong table from another build must not be served
+        payload["table"]["rows"][0]["entries"][0]["coeff"]["coeffs"] = ["7"]
+        if version is None:
+            del payload["version"]
+        else:
+            payload["version"] = version
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "kostka", "--n", "3", "--cache-dir", str(tmp_path))
+        assert (code, out, err) == (0, fresh, "")
+        assert json.loads(path.read_text())["version"] == cli.__version__
         assert json.loads(path.read_text())["table"] == cli.hl.kostka_triangular(3).to_json()
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symq import hl, symfunc
+from symq import hl, qcoeff, symfunc
 from symq.hl import (
     KostkaTable,
     big_schur,
@@ -170,7 +170,6 @@ def test_routes_agree():
         assert kostka_triangular(n) == kostka_orthogonality(n)
 
 
-@pytest.mark.slow
 def test_routes_agree_n7():
     assert kostka_triangular(7) == kostka_orthogonality(7)
 
@@ -200,6 +199,25 @@ def test_route_two_expands_each_big_schur_once(monkeypatch):
     monkeypatch.setattr(hl, "to_p", counting_to_p)
     kostka_orthogonality(5)
     assert 0 < len(converted) <= 2 * len(partitions(5))
+
+
+def test_kostka_runs_no_polynomial_gcd(monkeypatch):
+    # QRat normalises in Z[q]; qcoeff.poly_gcd is not on the Kostka hot path
+    def clear():
+        for module in (hl, symfunc):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+    clear()
+    want = kostka_triangular(4).to_json()
+    clear()
+
+    def no_gcd(a, b):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(qcoeff, "poly_gcd", no_gcd)
+    assert kostka_triangular(4).to_json() == want
 
 
 def test_triangularity_validation():

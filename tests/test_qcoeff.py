@@ -1,6 +1,7 @@
 """Exact coefficient arithmetic: Laurent polynomials and rational functions."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,3 +239,78 @@ def test_series_matches_product(r, k):
     approx = r.series_prefix(k)
     diff = r.num - r.den * approx
     assert all(diff.coeff(i) == 0 for i in range(k))
+
+
+# -- the Z[q] kernels against a Fraction reference -----------------------------------
+
+
+def ref_gcd(a: QPoly, b: QPoly) -> QPoly:
+    """Euclid over Fraction on the polynomial parts, then monic."""
+    x, y = list(a.coeffs), list(b.coeffs)
+    while y:
+        while len(x) >= len(y):
+            f = x[-1] / y[-1]
+            for j, c in enumerate(y, len(x) - len(y)):
+                x[j] -= f * c
+            while x and x[-1] == 0:
+                x.pop()
+        x, y = y, x
+    return QPoly(0, tuple(c / x[-1] for c in x)) if x else QPoly.zero()
+
+
+def ref_canonical(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
+    """num/den reduced by ref_gcd, den scaled to integers, content 1, positive lead."""
+    g = ref_gcd(num, den)
+    n, d = QPoly(0, num.coeffs).divmod_poly(g)[0], QPoly(0, den.coeffs).divmod_poly(g)[0]
+    m = lcm(*(c.denominator for c in d.coeffs))
+    s = Fraction(m, gcd(*(c.numerator * (m // c.denominator) for c in d.coeffs)))
+    s = s if d.coeffs[-1] > 0 else -s
+    return (n * s).shift(num.offset - den.offset), d * s
+
+
+def test_canonical_form_worked_by_hand():
+    # 2/(-4 + 6q^2) and (1 - q^2)/(1/2 - q/2)
+    for num, den, want in ((qp(2), qp(-4, 0, 6), (qp(1), qp(-2, 0, 3))),
+                           (qp(1, 0, -1), qp(Fraction(1, 2), Fraction(-1, 2)), (qp(2, 2), qp(1)))):
+        r = QRat(num, den)
+        assert ref_canonical(num, den) == want == (r.num, r.den)
+
+
+# numerator and denominator share a random factor; denominators are constant,
+# a power of q or general, with rational and negative coefficients throughout
+signed_polys = st.builds(
+    QPoly, st.integers(-3, 3), st.lists(small_fractions, min_size=1, max_size=5).map(tuple)
+).filter(lambda p: not p.is_zero())
+constant_or_monomial = st.builds(QPoly.monomial, st.integers(-4, 4), small_fractions.filter(bool))
+denominators = st.one_of(constant_or_monomial, signed_polys)
+
+
+@given(polys, polys)
+def test_sum_and_product_match_fraction_arithmetic(a, b):
+    def coeff_map(p):
+        return {p.offset + i: c for i, c in enumerate(p.coeffs) if c}
+
+    total, prod = coeff_map(a), {}
+    for k, c in coeff_map(b).items():
+        total[k] = total.get(k, 0) + c
+    for i, x in coeff_map(a).items():
+        for j, y in coeff_map(b).items():
+            prod[i + j] = prod.get(i + j, 0) + x * y
+    assert coeff_map(a + b) == {k: c for k, c in total.items() if c}
+    assert coeff_map(a * b) == {k: c for k, c in prod.items() if c}
+
+
+@given(signed_polys, signed_polys, signed_polys)
+@settings(deadline=None)
+def test_poly_gcd_matches_fraction_euclid(a, b, c):
+    assert poly_gcd(a, b) == ref_gcd(a, b)
+    assert poly_gcd(a * c, b * c) == ref_gcd(a * c, b * c)
+    assert poly_gcd(a, QPoly.zero()) == ref_gcd(a, QPoly.zero())
+
+
+@given(signed_polys, denominators, signed_polys)
+@settings(deadline=None)
+def test_qrat_matches_reference_canonical_form(num, den, common):
+    for n, d in ((num, den), (num * common, den * common), (-num, -den)):
+        r = QRat(n, d)
+        assert (r.num, r.den) == ref_canonical(n, d)
